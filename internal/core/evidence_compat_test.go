@@ -19,11 +19,10 @@ func cacheFile(t *testing.T, dir string) string {
 	return filepath.Join(dir, entries[0].Name())
 }
 
-// TestEvidenceSnapshotCompat proves that snapshots written before the
-// evidence-provider refactor stay valid: a default SLM-only run today
-// writes the same key bytes the pre-refactor core did (pinned by
-// TestFingerprintCompat), so re-encoding today's snapshot under both
-// surviving format versions stands in for a pre-refactor cache file.
+// TestEvidenceSnapshotCompat proves that the evidence-provider refactor
+// did not re-key snapshots: a default SLM-only run writes the key bytes
+// TestFingerprintCompat pins, so re-encoding today's snapshot under both
+// surviving format versions stands in for an older cache file.
 // Both must still validate and warm-restore the whole pipeline under the
 // default configuration, while enabling the subtype provider must NOT
 // claim the cached hierarchy section — its canon is different — yet

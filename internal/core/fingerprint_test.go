@@ -15,7 +15,11 @@ import (
 // "tag|canon" with the canon laid out exactly as the pre-pipeline core
 // formatted it). Existing .rsnap caches were written under those bytes;
 // any divergence silently invalidates every user's cache, so this test
-// recomputes the legacy bytes from scratch and compares.
+// recomputes the legacy bytes from scratch and compares. The hierarchy
+// canon additionally ends in the stage's algorithm version
+// ("algo:hierarchy=kl-log"): the log-domain KL kernel re-keys that
+// section alone, so snapshots of the earlier kernel keep their
+// extraction and model sections but never restore its distances.
 func TestFingerprintCompat(t *testing.T) {
 	legacy := func(stage, canon string) [32]byte {
 		return sha256.Sum256([]byte(stage + "|" + canon))
@@ -34,7 +38,7 @@ func TestFingerprintCompat(t *testing.T) {
 				cfg.Structural.DisablePurecallRule)),
 			pipeline.SecModels: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			pipeline.SecHierarchy: legacy("hier", fmt.Sprintf(
-				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g",
+				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g algo:hierarchy=kl-log",
 				cfg.Metric, cfg.RootWeightFactor, cfg.EnumLimit, cfg.EnumEps)),
 		}
 		for sec := pipeline.Section(0); sec < pipeline.NumSections; sec++ {
@@ -70,7 +74,7 @@ func TestFingerprintCompat(t *testing.T) {
 		t.Error("sparse sweep changed the extraction/models fingerprints; pre-sparse snapshots lost staged reuse")
 	}
 	wantSparse := legacy("hier", fmt.Sprintf(
-		"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
+		"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse algo:hierarchy=kl-log",
 		sparse.Metric, sparse.RootWeightFactor, sparse.EnumLimit, sparse.EnumEps))
 	if sfps[pipeline.SecHierarchy] != wantSparse {
 		t.Error("sparse hierarchy fingerprint diverged from the pinned sweep=sparse canon")

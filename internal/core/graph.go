@@ -148,6 +148,7 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtStructural, pipeline.ArtAlphabet, pipeline.ArtFrozen, pipeline.ArtEvidence},
 			Outputs: []pipeline.Artifact{pipeline.ArtDist, pipeline.ArtFamilies, pipeline.ArtHierarchy},
 			Canon:   c.hierarchyCanon(),
+			Algo:    hierarchyAlgo,
 			Run: bind(func(ctx context.Context) error {
 				return res.buildHierarchy(ctx, c)
 			}),
@@ -172,17 +173,23 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 	return g
 }
 
+// hierarchyAlgo versions the hierarchy stage's computation (see
+// pipeline.Stage.Algo). "kl-log" is the log-domain KL kernel with its
+// clamp at 0, whose distances differ from the earlier divide-then-log
+// kernel in the last bit.
+const hierarchyAlgo = "kl-log"
+
 // hierarchyCanon renders the hierarchy stage's fingerprinted
-// configuration. Dense mode keeps the exact legacy bytes, so snapshots
-// written before the sparse sweep existed stay fully reusable under
-// DenseDist; the default sparse mode appends a marker because it changes
-// the persisted payload (Result.Dist holds only admissible pairs) and the
-// root-weight bound. A non-default evidence configuration (providers
-// beyond the SLM sweep, or a non-unit SLM weight) appends a second
-// marker; the default appends nothing, so pre-provider snapshots keep
-// validating and warm-restoring under SLM-only configurations.
-// Extraction and model sections are unaffected either way — evidence and
-// sweep changes invalidate only the hierarchy section.
+// configuration. Dense mode keeps the exact legacy canon; the default
+// sparse mode appends a marker because it changes the persisted payload
+// (Result.Dist holds only admissible pairs) and the root-weight bound. A
+// non-default evidence configuration (providers beyond the SLM sweep, or
+// a non-unit SLM weight) appends a second marker; the default appends
+// nothing, so adding evidence providers did not re-key SLM-only
+// snapshots. Extraction and model sections are unaffected either way —
+// evidence and sweep changes invalidate only the hierarchy section.
+// hierarchyAlgo joins the section fingerprint after this canon in every
+// mode.
 func (c Config) hierarchyCanon() string {
 	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g",
 		c.Metric, c.RootWeightFactor, c.EnumLimit, c.EnumEps)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/image"
+	"repro/internal/pipeline"
 	"repro/internal/slm"
 	"repro/internal/snapshot"
 )
@@ -158,6 +159,47 @@ func TestSnapshotCorruptCacheIsMiss(t *testing.T) {
 	if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Errorf("slot not repaired: level %d", warm.SnapshotReuse)
 	}
+}
+
+// TestSnapshotAlgoVersionRekeysHierarchy: a snapshot whose hierarchy
+// section was written by another version of the hierarchy algorithm (here
+// the unversioned kernel that preceded the log-domain KL) shares every
+// configuration canon with today's run, yet must only lend its extraction
+// and model sections — its distances are never restored.
+func TestSnapshotAlgoVersionRekeysHierarchy(t *testing.T) {
+	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
+	cfg := DefaultConfig()
+	cfg.CacheDir = t.TempDir()
+	cold := analyzeCached(t, img, cfg)
+	path := cacheFile(t, cfg.CacheDir)
+
+	stages := append([]pipeline.Stage(nil), cfg.withDefaults().graph(nil).Stages()...)
+	for i := range stages {
+		if stages[i].Name == "hierarchy" {
+			stages[i].Algo = "" // the pre-versioning hierarchy stage
+		}
+	}
+	old, err := pipeline.New([]pipeline.Artifact{pipeline.ArtImage}, stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Key.FPs[pipeline.SecHierarchy] == old.SectionFingerprint(pipeline.SecHierarchy) {
+		t.Fatal("the hierarchy algorithm version does not reach the fingerprint")
+	}
+	snap.Key.FPs = old.Fingerprints()
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	res := analyzeCached(t, img, cfg)
+	if res.SnapshotReuse != snapshot.LevelModels {
+		t.Fatalf("snapshot of another hierarchy algorithm reused level %d, want exactly %d",
+			res.SnapshotReuse, snapshot.LevelModels)
+	}
+	assertResultsEqual(t, "re-solved hierarchy vs cold", cold, res)
 }
 
 // TestParseInvalidate pins the CLI spellings.

@@ -1,14 +1,15 @@
 // Package slmkl rehosts the paper's behavioral evidence source — the
 // per-family SLM divergence sweep (§4.3) — behind the evidence.Provider
-// interface. It is a verbatim transplant of the original in-line sweep:
-// the same chunk grains, the same pair layout, the same frozen flat-trie
-// kernels, the same counters — so its output is bit-identical to the
-// pre-provider pipeline and the equivalence pins in internal/eval hold
-// by construction, not by tolerance.
+// interface. Every edge score is the slm.DistanceCalculator's own
+// Distance value (the sweep only batches the pairs by target), so the
+// sparse, dense and replayed sweeps agree bit for bit and the
+// equivalence pins in internal/eval hold by construction, not by
+// tolerance.
 package slmkl
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/evidence"
 	"repro/internal/obs"
@@ -25,12 +26,21 @@ const (
 	// also the batch the multi-model scoring kernel blocks over
 	// (slm.DistanceCalculator.PrecomputeBatch).
 	modelGrain = 8
-	// pairGrain groups admissible-pair divergence reductions.
-	pairGrain = 32
+	// targetGrain groups the sparse sweep's targets: each target builds
+	// its ln q vector once and reduces all of its candidate parents
+	// against it (slm.DistanceCalculator.DistancesTo).
+	targetGrain = 4
 	// cellGrain groups dense-matrix cells (the Dense reporting mode;
 	// diagonal cells are nearly free, so ranges are larger).
 	cellGrain = 256
 )
+
+// lqPool recycles the sparse sweep's per-chunk ln q vectors (one family
+// word set long). Allocating one per chunk instead adds a quarter of the
+// family's distribution memory in garbage per sweep; on the rockperf wide
+// workload (2-core x86-64 container) that raised peak RSS from ~141 to
+// ~155 MiB.
+var lqPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Config parameterizes the sweep. Metric and RootWeightFactor are
 // behavioral (they appear in the hierarchy canon); the rest only shape
@@ -73,8 +83,8 @@ func (p *Provider) Name() string { return evidence.NameSLM }
 // distribution over the family's shared word set is derived exactly once
 // (the DistanceCalculator memoizes per model, each chunk scored by the
 // blocked multi-model batch kernel); then the sweep reduces the cached
-// distributions over in.Pairs — or over all n² ordered cells under
-// cfg.Dense — in deterministically-owned chunks.
+// distributions over in.Pairs, one child target at a time — or over all
+// n² ordered cells under cfg.Dense — in deterministically-owned chunks.
 func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*evidence.Scores, error) {
 	cfg := p.cfg
 	calc := slm.NewDistanceCalculator(cfg.Metric, in.Words)
@@ -122,10 +132,31 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 		out.Root = maxD*cfg.RootWeightFactor + 1
 		return out, nil
 	}
+	// Pairs arrive grouped by child (the canonical layout), and the child
+	// is the divergence target, so each run of equal children is one
+	// DistancesTo call writing its own slice of Edge.
+	var runs []int
+	for k := range in.Pairs {
+		if k == 0 || in.Pairs[k][1] != in.Pairs[k-1][1] {
+			runs = append(runs, k)
+		}
+	}
+	runs = append(runs, len(in.Pairs))
 	out.Edge = make([]float64, len(in.Pairs))
-	if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, len(in.Pairs), pairGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			out.Edge[k] = calc.Distance(in.Scorer(in.Pairs[k][0]), in.Scorer(in.Pairs[k][1]))
+	if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, len(runs)-1, targetGrain, func(lo, hi int) {
+		var as []slm.WordScorer
+		lq := lqPool.Get().(*[]float64)
+		defer lqPool.Put(lq)
+		if cap(*lq) < len(in.Words) {
+			*lq = make([]float64, len(in.Words))
+		}
+		for r := lo; r < hi; r++ {
+			pairs := in.Pairs[runs[r]:runs[r+1]]
+			as = as[:0]
+			for _, pc := range pairs {
+				as = append(as, in.Scorer(pc[0]))
+			}
+			calc.DistancesTo(in.Scorer(pairs[0][1]), as, out.Edge[runs[r]:runs[r+1]], *lq)
 		}
 	}); err != nil {
 		return nil, err

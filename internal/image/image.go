@@ -14,7 +14,6 @@
 package image
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -269,39 +268,49 @@ const (
 	version = 1
 )
 
-// Marshal serializes the image (including metadata, if present).
+// Marshal serializes the image (including metadata, if present) into a
+// buffer sized exactly to the encoding, so a retained result carries no
+// slack capacity.
 func (img *Image) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	writeU32(&buf, version)
-	writeBytes(&buf, []byte(img.Name))
-	writeBytes(&buf, img.Code)
-	writeBytes(&buf, img.Rodata)
-	writeU32(&buf, uint32(len(img.Entries)))
-	for _, e := range img.Entries {
-		writeU64(&buf, e)
-	}
-	keys := make([]uint64, 0, len(img.Imports))
-	for k := range img.Imports {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	writeU32(&buf, uint32(len(keys)))
-	for _, k := range keys {
-		writeU64(&buf, k)
-		writeBytes(&buf, []byte(img.Imports[k]))
-	}
-	if img.Meta == nil {
-		buf.WriteByte(0)
-	} else {
-		buf.WriteByte(1)
-		mj, err := json.Marshal(img.Meta)
-		if err != nil {
+	var mj []byte
+	if img.Meta != nil {
+		var err error
+		if mj, err = json.Marshal(img.Meta); err != nil {
 			return nil, fmt.Errorf("image: marshal metadata: %w", err)
 		}
-		writeBytes(&buf, mj)
 	}
-	return buf.Bytes(), nil
+	keys := make([]uint64, 0, len(img.Imports))
+	size := len(magic) + 4 + 3*4 + len(img.Name) + len(img.Code) + len(img.Rodata) +
+		4 + 8*len(img.Entries) + 4 + 1
+	for k, name := range img.Imports {
+		keys = append(keys, k)
+		size += 8 + 4 + len(name)
+	}
+	if img.Meta != nil {
+		size += 4 + len(mj)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	buf := make([]byte, 0, size)
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
+	buf = appendBytes(buf, []byte(img.Name))
+	buf = appendBytes(buf, img.Code)
+	buf = appendBytes(buf, img.Rodata)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img.Entries)))
+	for _, e := range img.Entries {
+		buf = binary.LittleEndian.AppendUint64(buf, e)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
+	for _, k := range keys {
+		buf = binary.LittleEndian.AppendUint64(buf, k)
+		buf = appendBytes(buf, []byte(img.Imports[k]))
+	}
+	if img.Meta == nil {
+		return append(buf, 0), nil
+	}
+	buf = append(buf, 1)
+	return appendBytes(buf, mj), nil
 }
 
 // Load parses a serialized image.
@@ -323,6 +332,9 @@ func Load(data []byte) (*Image, error) {
 	n := int(r.u32())
 	if r.err == nil && n > r.remaining()/8 {
 		return nil, fmt.Errorf("image: entry count %d exceeds input size", n)
+	}
+	if n > 0 {
+		img.Entries = make([]uint64, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		img.Entries = append(img.Entries, r.u64())
@@ -421,19 +433,7 @@ func (r *reader) lenBytes() []byte {
 	return r.bytes(n)
 }
 
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeU32(buf, uint32(len(b)))
-	buf.Write(b)
+func appendBytes(buf, b []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
+	return append(buf, b...)
 }

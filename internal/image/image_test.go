@@ -43,6 +43,29 @@ func TestMarshalLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalSizedExactly: Marshal's result has no slack capacity (every
+// retained serialized image would otherwise hold it), with and without
+// metadata, and Load sizes Entries exactly.
+func TestMarshalSizedExactly(t *testing.T) {
+	withMeta := sampleImage()
+	for _, img := range []*Image{withMeta, withMeta.Strip()} {
+		data, err := img.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("meta=%v: Marshal returned len %d, cap %d", img.Meta != nil, len(data), cap(data))
+		}
+		got, err := Load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.Entries) != len(img.Entries) {
+			t.Errorf("meta=%v: Load sized Entries cap %d for %d entries", img.Meta != nil, cap(got.Entries), len(img.Entries))
+		}
+	}
+}
+
 func TestLoadRejectsCorrupt(t *testing.T) {
 	img := sampleImage()
 	data, _ := img.Marshal()

@@ -18,7 +18,8 @@
 // A section's fingerprint hashes the concatenated canonical configuration
 // of its stages under the section tag — byte-identical to the fingerprint
 // scheme earlier releases hand-maintained in internal/core, so existing
-// .rsnap caches keep validating.
+// .rsnap caches keep validating — plus the algorithm version of any stage
+// that declares one.
 //
 // Execution (Execute) is a thin loop: stages run in declared order, each
 // wrapped in the observer bus's stage record, with a per-stage status
@@ -121,6 +122,12 @@ type Stage struct {
 	// stage's output depends on ("" for config-free stages). Worker
 	// counts and observers never appear — they cannot change results.
 	Canon string
+	// Algo versions the stage's computation. Change it when the stage's
+	// output changes under the same inputs and Canon (a new kernel, even
+	// one that moves only the last bit), so snapshots written by the old
+	// code stop validating instead of restoring stale results. "" adds
+	// nothing to the fingerprint.
+	Algo string
 	// Run executes the stage. Nil in spec-only graphs (fingerprint
 	// derivation, probes).
 	Run func(ctx context.Context) error
@@ -174,13 +181,21 @@ func (g *Graph) Stages() []Stage { return g.stages }
 
 // SectionFingerprint hashes one section's configuration: the section tag
 // and the space-joined non-empty canonical renderings of its stages, in
-// stage order. The construction reproduces the legacy hand-maintained
-// fingerprints byte for byte (see TestFingerprintCompat in core).
+// stage order, each followed by "algo:<stage>=<Algo>" when the stage has
+// an algorithm version. Without versions the construction reproduces the
+// legacy hand-maintained fingerprints byte for byte (see
+// TestFingerprintCompat in core).
 func (g *Graph) SectionFingerprint(sec Section) [32]byte {
 	var canons []string
 	for _, st := range g.stages {
-		if st.Section == sec && st.Canon != "" {
+		if st.Section != sec {
+			continue
+		}
+		if st.Canon != "" {
 			canons = append(canons, st.Canon)
+		}
+		if st.Algo != "" {
+			canons = append(canons, "algo:"+st.Name+"="+st.Algo)
 		}
 	}
 	return sha256.Sum256([]byte(sec.Tag() + "|" + strings.Join(canons, " ")))

@@ -94,6 +94,19 @@ func TestSectionFingerprint(t *testing.T) {
 	if got := g2.SectionFingerprint(SecExtraction); got != want {
 		t.Errorf("joined canon fingerprint wrong")
 	}
+	// An algorithm version follows its stage's canon; a config-free
+	// stage contributes the version alone.
+	g3, err := New([]Artifact{ArtImage},
+		Stage{Name: "a", Section: SecExtraction, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}, Canon: "x=1", Algo: "v2"},
+		Stage{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFuncs}, Outputs: []Artifact{ArtVTables}, Algo: "v3"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = sha256.Sum256([]byte("extract|x=1 algo:a=v2 algo:b=v3"))
+	if got := g3.SectionFingerprint(SecExtraction); got != want {
+		t.Errorf("algorithm versions folded into the fingerprint wrongly")
+	}
 }
 
 func TestSectionTagsAndLevels(t *testing.T) {

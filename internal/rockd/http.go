@@ -1,6 +1,7 @@
 package rockd
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -74,7 +75,7 @@ func (s *Server) readImage(w http.ResponseWriter, r *http.Request) (*image.Image
 		writeError(w, http.StatusBadRequest, err)
 		return nil, "", false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -93,6 +94,22 @@ func (s *Server) readImage(w http.ResponseWriter, r *http.Request) (*image.Image
 	return img, class, true
 }
 
+// readBody reads a request body of at most limit bytes. A declared
+// Content-Length within the limit sizes the buffer up front, so an image
+// is read with one allocation instead of repeated growth and copying; a
+// body shorter than its declared length fails as io.ErrUnexpectedEOF.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	img, class, ok := s.readImage(w, r)
@@ -108,7 +125,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	total := time.Since(t0)
 	s.latency[class].observe(total)
-	writeJSON(w, http.StatusOK, &Response{
+	writeResponse(w, &Response{
 		Digest:      hex.EncodeToString(out.entry.digest[:]),
 		Source:      out.source,
 		Coalesced:   out.coalesced,
@@ -152,7 +169,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	copy(digest[:], raw)
 	if e := s.cache.get(digest); e != nil {
 		s.hotHits.Add(1)
-		writeJSON(w, http.StatusOK, &Response{
+		writeResponse(w, &Response{
 			Digest:     hex.EncodeToString(digest[:]),
 			Source:     "hot",
 			AnalysisNS: e.analysisNS,
@@ -207,6 +224,29 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
+}
+
+// writeResponse writes a 200 response carrying resp, byte for byte what
+// writeJSON writes, but copies the pre-marshaled Report and Stats
+// verbatim. They come from json.Marshal, so they are already compact and
+// HTML-escaped, and the encoder's validating pass over them — most of a
+// hot hit's encode time on a large report — would change nothing. The
+// envelope is marshaled with Report and Stats empty, which renders Report
+// last, as "report":null; the payloads replace that null.
+func writeResponse(w http.ResponseWriter, resp *Response) {
+	head := *resp
+	head.Report, head.Stats = nil, nil
+	b, _ := json.Marshal(&head) // strings, integers and a bool: cannot fail
+	b = bytes.TrimSuffix(b, []byte("null}"))
+	out := make([]byte, 0, len(b)+len(resp.Report)+len(`,"stats":`)+len(resp.Stats)+2)
+	out = append(append(out, b...), resp.Report...)
+	if len(resp.Stats) > 0 {
+		out = append(append(out, `,"stats":`...), resp.Stats...)
+	}
+	out = append(out, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

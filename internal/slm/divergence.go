@@ -95,18 +95,22 @@ func distFromLogProbs(lps []float64) []float64 {
 }
 
 // distEntry is one cached derivation: the normalized distribution plus two
-// scalars the sparse sweep's root-weight bound consumes. selfEnt is
-// Σ_{p>0} p·ln p (the negated entropy of P) and logMin is ln of the
-// smallest probability klDist would divide by (actual minimum when
-// positive, the kernel's 1e-300 floor where the distribution has zeros).
-// For any two entries, D_KL(P‖Q) = Σ p·ln p − Σ p·ln q' ≤ selfEnt(P) −
-// logMin(Q), since Σ_{p>0} p = 1 — a per-pair bound in O(1) once the
-// distributions are derived.
+// scalars. selfEnt is Σ_{p>0} p·ln(max(p, 1e-300)) (the negated entropy
+// of P, with the KL kernel's floor) and logMin is ln of the smallest
+// probability the kernel takes a log of (actual minimum when positive,
+// the 1e-300 floor where the distribution has zeros). The KL kernel is
+// selfEnt(P) − Σ_{p>0} p·lnq(q), and the sparse sweep's root-weight bound
+// uses D_KL(P‖Q) ≤ selfEnt(P) − logMin(Q), since Σ_{p>0} p = 1 — a
+// per-pair bound in O(1) once the distributions are derived.
 type distEntry struct {
 	ps      []float64
 	selfEnt float64
 	logMin  float64
 }
+
+// lnq is the KL kernel's log: ln(max(x, 1e-300)), so a zero probability
+// on the Q side costs a large finite penalty instead of +Inf.
+func lnq(x float64) float64 { return math.Log(max(x, 1e-300)) }
 
 // newDistEntry derives a cache entry from a log-probability vector.
 func newDistEntry(lps []float64) *distEntry {
@@ -114,7 +118,7 @@ func newDistEntry(lps []float64) *distEntry {
 	minQ := math.Inf(1)
 	for _, p := range e.ps {
 		if p > 0 {
-			e.selfEnt += p * math.Log(p)
+			e.selfEnt += p * lnq(p)
 			if p < minQ {
 				minQ = p
 			}
@@ -138,20 +142,34 @@ func WordDistribution(m WordScorer, words [][]int) []float64 {
 	return wordDist(m, words, nil)
 }
 
-// klDist is the divergence kernel over two already-derived distributions.
-func klDist(pa, pb []float64) float64 {
-	d := 0.0
-	for i := range pa {
-		if pa[i] <= 0 {
-			continue
+// kl is the KL kernel in the log domain:
+//
+//	D_KL(P‖Q) = max(selfEnt(P) − Σ_{p>0} p·lnq(q), 0)
+//
+// with Q's logs taken inline. klLogs is the same reduction against a
+// prebuilt lnq vector; both run the same arithmetic in the same order,
+// so they agree bit for bit. selfEnt uses the same lnq, so KL(P‖P) is
+// exactly 0, and the clamp keeps rounding from ever yielding a negative
+// edge weight.
+func kl(a *distEntry, pb []float64) float64 {
+	cross := 0.0
+	for i, p := range a.ps {
+		if p > 0 {
+			cross += p * lnq(pb[i])
 		}
-		q := pb[i]
-		if q <= 0 {
-			q = 1e-300
-		}
-		d += pa[i] * math.Log(pa[i]/q)
 	}
-	return d
+	return max(a.selfEnt-cross, 0)
+}
+
+// klLogs is kl against lq[i] = lnq(q_i).
+func klLogs(a *distEntry, lq []float64) float64 {
+	cross := 0.0
+	for i, p := range a.ps {
+		if p > 0 {
+			cross += p * lq[i]
+		}
+	}
+	return max(a.selfEnt-cross, 0)
 }
 
 // jsDist is the Jensen–Shannon kernel over two distributions.
@@ -182,7 +200,7 @@ func KL(a, b WordScorer, words [][]int) float64 {
 	if len(words) == 0 {
 		return 0
 	}
-	return klDist(wordDist(a, words, nil), wordDist(b, words, nil))
+	return kl(newDistEntry(a.LogProbWords(words, nil)), wordDist(b, words, nil))
 }
 
 // JSDivergence returns the Jensen–Shannon divergence between the two models
@@ -410,13 +428,41 @@ func (c *DistanceCalculator) Distance(a, b WordScorer) float64 {
 	if len(c.words) == 0 {
 		return 0
 	}
-	pa, pb := c.distribution(a).ps, c.distribution(b).ps
+	ea, pb := c.distribution(a), c.distribution(b).ps
 	switch c.metric {
 	case MetricJSDivergence:
-		return jsDist(pa, pb)
+		return jsDist(ea.ps, pb)
 	case MetricJSDistance:
-		return math.Sqrt(jsDist(pa, pb))
+		return math.Sqrt(jsDist(ea.ps, pb))
 	default:
-		return klDist(pa, pb)
+		return kl(ea, pb)
+	}
+}
+
+// DistancesTo sets out[i] = Distance(as[i], b) for every source model —
+// the sparse sweep's per-target unit. b's distribution is looked up once;
+// under KL its lnq vector is built once into lq and every source reduces
+// against it, so each pair costs a multiply-add per word instead of a
+// Log. lq is caller scratch (allocated when shorter than the word set);
+// out must hold len(as) values. Results are bit-identical to Distance,
+// and with warm distributions and sized buffers the call allocates
+// nothing.
+func (c *DistanceCalculator) DistancesTo(b WordScorer, as []WordScorer, out, lq []float64) {
+	if c.metric != MetricKL || len(c.words) == 0 {
+		for i, a := range as {
+			out[i] = c.Distance(a, b)
+		}
+		return
+	}
+	pb := c.distribution(b).ps
+	if cap(lq) < len(pb) {
+		lq = make([]float64, len(pb))
+	}
+	lq = lq[:len(pb)]
+	for i, q := range pb {
+		lq[i] = lnq(q)
+	}
+	for i, a := range as {
+		out[i] = klLogs(c.distribution(a), lq)
 	}
 }

@@ -124,39 +124,50 @@ func (f *Frozen) Trained() int { return f.trained }
 // Nodes returns the number of contexts in the trie (diagnostics).
 func (f *Frozen) Nodes() int { return len(f.nodes) }
 
-// child returns the index of node n's child for symbol s, or -1. Spans
-// are sorted by symbol; small spans scan linearly (cheaper than binary
-// search at trie fan-outs), large ones binary-search.
+// child returns the index of node n's child for symbol s, or -1.
 func (f *Frozen) child(n int32, s int32) int32 {
 	fn := &f.nodes[n]
-	lo, hi := fn.childOff, fn.childOff+fn.childN
-	if fn.childN <= 8 {
+	if i := search(f.childSyms, fn.childOff, fn.childOff+fn.childN, s); i >= 0 {
+		return f.childNodes[i]
+	}
+	return -1
+}
+
+// search returns the index of s in the sorted span keys[lo:hi], or -1.
+// Small spans scan linearly (cheaper than binary search at trie
+// fan-outs), large ones binary-search.
+func search(keys []int32, lo, hi, s int32) int32 {
+	if hi-lo <= 8 {
 		for i := lo; i < hi; i++ {
-			if f.childSyms[i] == s {
-				return f.childNodes[i]
+			if keys[i] == s {
+				return i
 			}
 		}
 		return -1
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch c := f.childSyms[mid]; {
+		switch c := keys[mid]; {
 		case c < s:
 			lo = mid + 1
 		case c > s:
 			hi = mid
 		default:
-			return f.childNodes[mid]
+			return mid
 		}
 	}
 	return -1
 }
 
 // LogProb returns ln Pr(sym | hist); it equals Model.LogProb bit for bit.
-// It allocates a one-shot Querier — hot paths should hold a Querier (or
-// use LogProbWords) and query through it instead.
+// It borrows a querier from the process-wide scratch pool and binds it
+// without log tables (building them costs more than a single query
+// saves) — hot paths should hold a Querier (or use LogProbWords) and
+// query through it instead.
 func (f *Frozen) LogProb(sym int, hist []int) float64 {
-	return f.NewQuerier().LogProb(sym, hist)
+	s := sharedScratch.Get()
+	defer sharedScratch.Put(s)
+	return s.oneShot(f).LogProb(sym, hist)
 }
 
 // Prob returns Pr(sym | hist).
@@ -165,22 +176,26 @@ func (f *Frozen) Prob(sym int, hist []int) float64 {
 }
 
 // LogProbSeq returns ln Pr(seq); it equals Model.LogProbSeq bit for bit.
-// Like LogProb it allocates a one-shot Querier.
+// Like LogProb it borrows a pooled querier without log tables.
 func (f *Frozen) LogProbSeq(seq []int) float64 {
-	return f.NewQuerier().LogProbSeq(seq)
+	s := sharedScratch.Get()
+	defer sharedScratch.Put(s)
+	return s.oneShot(f).LogProbSeq(seq)
 }
 
-// LogProbWords scores every word with one scratch Querier (one setup
-// allocation for the whole batch, none per word). See WordScorer.
+// LogProbWords scores every word with one pooled Querier, rebound to f
+// with its log tables built once for the whole batch. See WordScorer.
 func (f *Frozen) LogProbWords(words [][]int, out []float64) []float64 {
-	return f.NewQuerier().LogProbWords(words, out)
+	s := sharedScratch.Get()
+	defer sharedScratch.Put(s)
+	return s.querier(f).LogProbWords(words, out)
 }
 
 // Querier carries the per-query scratch state of a frozen model so the
 // hot loop performs zero allocations: an epoch-stamped exclusion array
 // sized to the alphabet (clearing it per query is a single counter
-// increment, not an O(alphabet) wipe) and the context-node stack. A
-// Querier is cheap (one allocation of alphabet uint32s) but not safe for
+// increment, not an O(alphabet) wipe), the context-node stack, and the
+// model's deepest-context log tables. A Querier is not safe for
 // concurrent use; give each goroutine its own.
 type Querier struct {
 	f *Frozen
@@ -191,25 +206,42 @@ type Querier struct {
 	nexcl int
 	// ctx is the reusable context-node stack (root..deepest).
 	ctx []int32
+	// symLog[i] = ln(counts[i]/denom) for every symbol entry and
+	// escLog[n] = ln(symN/denom) for every node, with n's denom computed
+	// as in LogProb when nothing is excluded yet. That is exactly the
+	// state of a query's deepest context, so its answer is one table
+	// read. The tables are built per bind (NewQuerier, Rebind) into
+	// buffers the querier reuses; Frozen itself stays table-free. Empty
+	// after a table-free bind (a one-shot query), which runs the plain
+	// backoff loop.
+	symLog []float64
+	escLog []float64
 }
 
-// NewQuerier returns fresh scratch state for querying f.
+// NewQuerier returns fresh scratch state for querying f, with f's
+// deepest-context log tables built.
 func (f *Frozen) NewQuerier() *Querier {
-	return &Querier{
-		f:         f,
-		exclEpoch: make([]uint32, f.alphabet),
-		ctx:       make([]int32, 0, f.depth+1),
-	}
+	q := &Querier{}
+	q.Rebind(f)
+	return q
 }
 
 // Rebind points the querier at another frozen model, reusing its scratch
 // buffers when they are large enough (the corpus engine pools queriers
-// across analyses this way instead of allocating one per model). Stale
+// across analyses this way instead of allocating one per model), and
+// rebuilds the log tables for it.
+func (q *Querier) Rebind(f *Frozen) {
+	q.bind(f)
+	q.fillTables()
+}
+
+// bind points the querier at f with its log tables empty. Stale
 // exclusion stamps in a retained buffer are harmless: every stamp is at
 // most the querier's current epoch, and each query runs under a fresh
 // epoch, so old stamps can never read as "excluded".
-func (q *Querier) Rebind(f *Frozen) {
+func (q *Querier) bind(f *Frozen) {
 	q.f = f
+	q.symLog, q.escLog = q.symLog[:0], q.escLog[:0]
 	if cap(q.exclEpoch) < f.alphabet {
 		q.exclEpoch = make([]uint32, f.alphabet)
 		q.epoch = 0
@@ -228,13 +260,49 @@ func (q *Querier) Rebind(f *Frozen) {
 	}
 }
 
+// fillTables builds symLog and escLog for the bound model. Each entry is
+// the expression LogProb evaluates at a level with no exclusions, with
+// total summed over the node's span (not read from frozenNode.total), so
+// a table read is bit-identical to the loop it replaces.
+func (q *Querier) fillTables() {
+	f := q.f
+	if cap(q.symLog) < len(f.syms) {
+		q.symLog = make([]float64, len(f.syms))
+	}
+	q.symLog = q.symLog[:len(f.syms)]
+	if cap(q.escLog) < len(f.nodes) {
+		q.escLog = make([]float64, len(f.nodes))
+	}
+	q.escLog = q.escLog[:len(f.nodes)]
+	for n := range f.nodes {
+		nd := &f.nodes[n]
+		total := 0
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			total += int(f.counts[i])
+		}
+		distinct := int(nd.symN)
+		denom := float64(total + distinct)
+		if distinct >= f.alphabet {
+			denom = float64(total)
+		}
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			q.symLog[i] = math.Log(float64(f.counts[i]) / denom)
+		}
+		q.escLog[n] = math.Log(float64(distinct) / denom)
+	}
+}
+
 // Model returns the frozen model this querier scores against.
 func (q *Querier) Model() *Frozen { return q.f }
 
 // LogProb returns ln Pr(sym | hist) under PPM-C with the same query-time
 // update exclusion as Model.LogProb, allocation-free. The two paths run
 // the identical arithmetic in the identical order (integer count sums,
-// then one Log per backoff level), so the results are bit-identical.
+// then one Log per backoff level), so the results are bit-identical. At
+// the deepest context nothing is excluded yet, so that level is answered
+// from the log tables: a search of the sorted symbol span, then either
+// the symbol's estimate, the no-escape miss, or the escape followed by
+// the loop one level down.
 func (q *Querier) LogProb(sym int, hist []int) float64 {
 	f := q.f
 	// Context chain root -> deepest context seen in training.
@@ -263,7 +331,26 @@ func (q *Querier) LogProb(sym int, hist []int) float64 {
 	q.nexcl = 0
 
 	lp := 0.0
-	for k := len(q.ctx) - 1; k >= 0; k-- {
+	k := len(q.ctx) - 1
+	if nd := &f.nodes[n]; len(q.escLog) > 0 && nd.symN > 0 {
+		i := int32(-1)
+		if sym >= 0 && sym < f.alphabet {
+			i = search(f.syms, nd.symOff, nd.symOff+nd.symN, int32(sym))
+		}
+		if i >= 0 {
+			return q.symLog[i]
+		}
+		if int(nd.symN) >= f.alphabet {
+			return math.Log(1e-12)
+		}
+		lp = q.escLog[n]
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			q.exclEpoch[f.syms[i]] = q.epoch
+		}
+		q.nexcl = int(nd.symN)
+		k--
+	}
+	for ; k >= 0; k-- {
 		nd := &f.nodes[q.ctx[k]]
 		total, distinct := 0, 0
 		symCount := -1

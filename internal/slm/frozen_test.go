@@ -123,8 +123,9 @@ func TestFrozenDumpIdentical(t *testing.T) {
 }
 
 // TestFrozenQueryAllocs pins the tentpole guarantee: the frozen query
-// path — LogProb, LogProbSeq, and a batched LogProbWords into a
-// caller-provided buffer — performs zero allocations per operation.
+// path — LogProb, LogProbSeq, a batched LogProbWords into a
+// caller-provided buffer, a warm Rebind and the calculator's reductions —
+// performs zero allocations per operation.
 func TestFrozenQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation may allocate; alloc counts are asserted in the non-race run")
@@ -171,6 +172,19 @@ func TestFrozenQueryAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { calc.Precompute(f) }); n != 0 {
 		t.Errorf("warm DistanceCalculator.Precompute allocates %v per op, want 0", n)
+	}
+	// The per-target batch reduces into caller buffers without allocating.
+	as := []WordScorer{f, f2, f}
+	dists, lq := make([]float64, len(as)), make([]float64, len(words))
+	if n := testing.AllocsPerRun(100, func() { calc.DistancesTo(f2, as, dists, lq) }); n != 0 {
+		t.Errorf("warm DistanceCalculator.DistancesTo allocates %v per op, want 0", n)
+	}
+
+	// A warm querier rebound onto a model of the same size (alphabet,
+	// depth, nodes, symbol entries) rebuilds its log tables in place.
+	same := m.Freeze()
+	if n := testing.AllocsPerRun(100, func() { q.Rebind(same); q.Rebind(f) }); n != 0 {
+		t.Errorf("warm Querier.Rebind allocates %v per op, want 0", n)
 	}
 }
 

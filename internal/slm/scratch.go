@@ -10,7 +10,7 @@ import "sync"
 // not safe for concurrent use; obtain one per goroutine from a
 // ScratchPool.
 type Scratch struct {
-	q   *Querier
+	q   Querier
 	lps []float64
 
 	qs   []*Querier
@@ -63,21 +63,29 @@ func (s *Scratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float64 {
 }
 
 // logProbWords scores every word through the scratch buffers: frozen
-// scorers reuse (or rebind) the pooled Querier, other scorers evaluate
-// directly; either way the log-probability buffer is retained across
-// calls. The returned slice is valid until the next use of the Scratch.
+// scorers use the pooled Querier, other scorers evaluate directly; either
+// way the log-probability buffer is retained across calls. The returned
+// slice is valid until the next use of the Scratch.
 func (s *Scratch) logProbWords(m WordScorer, words [][]int) []float64 {
 	if f, ok := m.(*Frozen); ok {
-		if s.q == nil {
-			s.q = f.NewQuerier()
-		} else {
-			s.q.Rebind(f)
-		}
-		s.lps = s.q.LogProbWords(words, s.lps)
+		s.lps = s.querier(f).LogProbWords(words, s.lps)
 		return s.lps
 	}
 	s.lps = m.LogProbWords(words, s.lps)
 	return s.lps
+}
+
+// querier returns the scratch Querier rebound to f, log tables built.
+func (s *Scratch) querier(f *Frozen) *Querier {
+	s.q.Rebind(f)
+	return &s.q
+}
+
+// oneShot returns the scratch Querier bound to f without log tables: for
+// a single query, building them costs more than they save.
+func (s *Scratch) oneShot(f *Frozen) *Querier {
+	s.q.bind(f)
+	return &s.q
 }
 
 // ScratchPool shares Scratch values across goroutines and across
